@@ -35,7 +35,6 @@ Variable Reshape(const Variable& x, std::vector<int64_t> shape);
 Variable Concat(const std::vector<Variable>& xs, int axis);
 // Contiguous slice [start, start+len) along `axis`.
 Variable Slice(const Variable& x, int axis, int64_t start, int64_t len);
-Variable Transpose(const Variable& x);       // 2-D
 Variable TransposeLast2(const Variable& x);  // 3-D
 
 // --- Linear algebra -----------------------------------------------------------
@@ -45,6 +44,10 @@ Variable TransposeLast2(const Variable& x);  // 3-D
 //   [B,m,k]x[B,k,n] -> [B,m,n]   (batched)
 //   [B,m,k]x[k,n]   -> [B,m,n]   (weight broadcast over batch)
 Variable MatMul(const Variable& a, const Variable& b);
+// a * b^T for 2-D a [m,k] and b [n,k] -> [m,n], without copying b.  The
+// tied output heads project hidden rows onto the [V,d] item-embedding
+// table through this; b's gradient is written in its own [n,k] layout.
+Variable MatMulTransB(const Variable& a, const Variable& b);
 
 // --- Activations --------------------------------------------------------------
 

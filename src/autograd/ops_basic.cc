@@ -259,15 +259,6 @@ Variable Slice(const Variable& x, int axis, int64_t start, int64_t len) {
       "slice");
 }
 
-Variable Transpose(const Variable& x) {
-  return Variable::MakeNode(
-      Transpose2D(x.value()), {x},
-      [](Node* self) {
-        AccumulateGrad(self->parents[0].get(), Transpose2D(self->grad));
-      },
-      "transpose");
-}
-
 Variable TransposeLast2(const Variable& x) {
   return Variable::MakeNode(
       vsan::TransposeLast2(x.value()), {x},

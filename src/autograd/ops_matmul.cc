@@ -34,6 +34,21 @@ void Backward2D(Node* self) {
   }
 }
 
+// C = A * B^T with B stored [n, k] (an embedding table projecting rows
+// onto the catalogue): dA = G * B, dB = G^T * A.  dB comes out in B's own
+// [n, k] layout, so neither direction materializes a transposed copy.
+void BackwardTransB(Node* self) {
+  Node* pa = self->parents[0].get();
+  Node* pb = self->parents[1].get();
+  if (pa->requires_grad) {
+    AccumulateGrad(pa, MatMul2D(self->grad, pb->value));
+  }
+  if (pb->requires_grad) {
+    AccumulateGrad(pb, MatMul2D(self->grad, pa->value, /*trans_a=*/true,
+                                /*trans_b=*/false));
+  }
+}
+
 // Batched case: per-batch 2-D rule.
 void BackwardBatched(Node* self) {
   Node* pa = self->parents[0].get();
@@ -89,6 +104,13 @@ Variable MatMul(const Variable& a, const Variable& b) {
   VSAN_LOG_FATAL << "unsupported matmul ranks: " << av.ndim() << " x "
                  << bv.ndim();
   return Variable();
+}
+
+Variable MatMulTransB(const Variable& a, const Variable& b) {
+  VSAN_TRACE_SPAN("ops/matmul", kAutograd);
+  return Variable::MakeNode(
+      MatMul2D(a.value(), b.value(), /*trans_a=*/false, /*trans_b=*/true),
+      {a, b}, BackwardTransB, "matmul_trans_b");
 }
 
 }  // namespace ops

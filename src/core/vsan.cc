@@ -169,7 +169,7 @@ Variable Vsan::Net::Predict(const Variable& rows) const {
   if (!config.tie_output) return prediction.Forward(rows);
   // Tied projection onto the item-embedding table plus a free item bias.
   return ops::AddBias(
-      ops::MatMul(rows, ops::Transpose(item_emb.table())), output_bias);
+      ops::MatMulTransB(rows, item_emb.table()), output_bias);
 }
 
 void Vsan::Fit(const data::SequenceDataset& train, const TrainOptions& opts) {

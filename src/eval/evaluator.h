@@ -40,8 +40,11 @@ struct EvalOptions {
   uint64_t negative_seed = 91;
 
   // --- Fast retrieval (eval/retrieval.h) -------------------------------
-  // With retrieval.backend == kExact (the default) evaluation runs the
-  // original full-scoring path, byte for byte.  With kQuantized or kIvf the
+  // With retrieval.backend == kExact (the default) every item is scored,
+  // and each user's ranking is bitwise the one per-user ScoreInto +
+  // TopNIndices produces: a model with a FactorizedHead is encoded user by
+  // user and projected onto its head 32 users per GEMM, any other model is
+  // scored through ScoreInto directly.  With kQuantized or kIvf the
   // evaluator ranks through a RetrievalIndex instead of materializing each
   // user's full score vector; this requires the model to expose a
   // FactorizedHead and full ranking (num_sampled_negatives == 0) — when

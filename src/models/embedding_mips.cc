@@ -57,6 +57,7 @@ std::vector<float> EmbeddingMips::Score(
 void EmbeddingMips::ScoreInto(const std::vector<int32_t>& fold_in,
                               std::vector<float>* scores) const {
   VSAN_CHECK_GT(num_items_, 0) << "Fit() must be called before Score()";
+  ScopedMatMulPrecision precision_guard(eval_precision());
   std::vector<float> query;
   EncodeQueryInto(fold_in, &query);
   const int64_t rows = static_cast<int64_t>(num_items_) + 1;

@@ -61,8 +61,8 @@ Variable SasRec::Net::Encode(const std::vector<int32_t>& inputs, int64_t batch,
 }
 
 Variable SasRec::Net::Logits(const Variable& hidden) const {
-  // Tied projection onto the item embedding table: [B,n,d] x [d, V].
-  return ops::MatMul(hidden, ops::Transpose(item_emb.table()));
+  // Tied projection onto the item embedding table: [R,d] x [V,d]^T.
+  return ops::MatMulTransB(hidden, item_emb.table());
 }
 
 void SasRec::Fit(const data::SequenceDataset& train,

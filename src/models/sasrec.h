@@ -76,7 +76,7 @@ class SasRec : public SequentialRecommender {
     Variable Encode(const std::vector<int32_t>& inputs, int64_t batch,
                     Rng* rng) const;
 
-    // Tied output projection: [B, n, d] -> [B, n, num_items+1].
+    // Tied output projection: rows [R, d] -> [R, num_items+1].
     Variable Logits(const Variable& hidden) const;
 
     Config config;

@@ -1,11 +1,23 @@
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "core/vsan.h"
+#include "data/split.h"
+#include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
+#include "models/caser.h"
+#include "models/embedding_mips.h"
+#include "models/gru4rec.h"
+#include "models/sasrec.h"
+#include "models/svae.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace vsan {
@@ -222,6 +234,190 @@ TEST(EvaluatorTest, ResultToStringIsPercentages) {
   EXPECT_NE(s.find("NDCG@10=6.780"), std::string::npos);
   EXPECT_NE(s.find("Recall@10=9.340"), std::string::npos);
 }
+
+// --- Exact backend over a FactorizedHead --------------------------------
+
+// Per-user reference for the exact backend: each user's ScoreInto vector,
+// ranked by TopNIndices and scored by ComputeTopN, summed in user order and
+// averaged.  Candidate sampling restates the protocol documented on
+// EvalOptions::negative_seed: each user's stream is seeded by MixSeed over
+// the base seed and the user's own fold-in and holdout.
+EvalResult ReferenceEvaluate(const SequentialRecommender& model,
+                             const std::vector<data::HeldOutUser>& users,
+                             const EvalOptions& options) {
+  const int32_t max_cutoff =
+      *std::max_element(options.cutoffs.begin(), options.cutoffs.end());
+  EvalResult result;
+  for (int32_t n : options.cutoffs) {
+    result.precision[n] = 0.0;
+    result.recall[n] = 0.0;
+    result.ndcg[n] = 0.0;
+  }
+  int64_t evaluated = 0;
+  std::vector<float> scores;
+  for (const data::HeldOutUser& user : users) {
+    if (user.fold_in.empty() || user.holdout.empty()) continue;
+    model.ScoreInto(user.fold_in, &scores);
+    const int32_t num_items = static_cast<int32_t>(scores.size()) - 1;
+    std::vector<bool> excluded(scores.size(), false);
+    excluded[0] = true;
+    if (options.num_sampled_negatives > 0) {
+      uint64_t seed = MixSeed(options.negative_seed, user.fold_in.size());
+      for (int32_t item : user.fold_in) {
+        seed = MixSeed(seed, static_cast<uint64_t>(item));
+      }
+      seed = MixSeed(seed, user.holdout.size());
+      for (int32_t item : user.holdout) {
+        seed = MixSeed(seed, static_cast<uint64_t>(item));
+      }
+      Rng rng(seed);
+      const std::unordered_set<int32_t> seen(user.fold_in.begin(),
+                                             user.fold_in.end());
+      std::unordered_set<int32_t> candidates(user.holdout.begin(),
+                                             user.holdout.end());
+      const size_t want = static_cast<size_t>(options.num_sampled_negatives) +
+                          user.holdout.size();
+      for (int32_t guard = 0;
+           candidates.size() < want && guard < num_items * 20; ++guard) {
+        const int32_t neg = static_cast<int32_t>(rng.UniformInt(1, num_items));
+        if (seen.count(neg) == 0) candidates.insert(neg);
+      }
+      for (int32_t item = 1; item <= num_items; ++item) {
+        if (candidates.count(item) == 0) excluded[item] = true;
+      }
+    }
+    const std::unordered_set<int32_t> holdout(user.holdout.begin(),
+                                              user.holdout.end());
+    for (int32_t item : user.fold_in) {
+      if (holdout.count(item) == 0) excluded[item] = true;
+    }
+    const std::vector<int32_t> ranked =
+        TopNIndices(scores, excluded, max_cutoff);
+    for (int32_t n : options.cutoffs) {
+      const TopNMetrics m = ComputeTopN(ranked, user.holdout, n);
+      result.precision[n] += m.precision;
+      result.recall[n] += m.recall;
+      result.ndcg[n] += m.ndcg;
+    }
+    ++evaluated;
+  }
+  for (int32_t n : options.cutoffs) {
+    result.precision[n] /= evaluated;
+    result.recall[n] /= evaluated;
+    result.ndcg[n] /= evaluated;
+  }
+  return result;
+}
+
+// Every model that exposes a FactorizedHead, at toy sizes.
+std::unique_ptr<SequentialRecommender> MakeHeadModel(const std::string& name) {
+  if (name == "vsan_tied" || name == "vsan_untied") {
+    core::VsanConfig config;
+    config.max_len = 8;
+    config.d = 8;
+    config.tie_output = name == "vsan_tied";
+    return std::make_unique<core::Vsan>(config);
+  }
+  if (name == "sasrec") {
+    models::SasRec::Config config;
+    config.max_len = 8;
+    config.d = 8;
+    return std::make_unique<models::SasRec>(config);
+  }
+  if (name == "gru4rec") {
+    models::Gru4Rec::Config config;
+    config.max_len = 8;
+    config.d = 8;
+    config.hidden = 8;
+    return std::make_unique<models::Gru4Rec>(config);
+  }
+  if (name == "caser") {
+    models::Caser::Config config;
+    config.window = 4;
+    config.d = 8;
+    config.heights = {2, 3};
+    config.h_filters = 4;
+    config.v_filters = 2;
+    return std::make_unique<models::Caser>(config);
+  }
+  if (name == "svae") {
+    models::Svae::Config config;
+    config.max_len = 8;
+    config.d = 8;
+    config.hidden = 8;
+    config.latent = 4;
+    return std::make_unique<models::Svae>(config);
+  }
+  models::EmbeddingMips::Config config;
+  config.d = 8;
+  return std::make_unique<models::EmbeddingMips>(config);
+}
+
+class ExactHeadOracleTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void TearDown() override {
+    ThreadPool::SetGlobalNumThreads(ThreadPool::DefaultNumThreads());
+  }
+};
+
+// The exact backend scores a FactorizedHead model 32 users per GEMM; its
+// result maps must equal the per-user ScoreInto reference exactly, at every
+// thread count, in both storage precisions, for full ranking and sampled
+// negatives.  75 split users plus one with an empty fold-in and one with
+// an empty holdout make 77: two full blocks and a partial one.
+TEST_P(ExactHeadOracleTest, BlockedEvaluationEqualsPerUserScoreInto) {
+  data::SyntheticConfig data_config;
+  data_config.num_users = 160;
+  data_config.num_items = 90;
+  data_config.seed = 11;
+  const data::SequenceDataset dataset = data::GenerateSynthetic(data_config);
+  data::SplitOptions split_options;
+  split_options.num_test_users = 75;
+  const data::StrongSplit split = data::MakeStrongSplit(dataset, split_options);
+  std::vector<data::HeldOutUser> users = split.test;
+  ASSERT_EQ(users.size(), 75u);
+  users.insert(users.begin() + 40, data::HeldOutUser{{}, {3}});
+  users.push_back(data::HeldOutUser{{4, 5}, {}});
+  ASSERT_NE(users.size() % 32, 0u);
+
+  std::unique_ptr<SequentialRecommender> model = MakeHeadModel(GetParam());
+  TrainOptions train;
+  train.epochs = 1;
+  train.batch_size = 32;
+  model->Fit(split.train, train);
+  FactorizedHead head;
+  ASSERT_TRUE(model->GetFactorizedHead(&head));
+
+  for (MatMulPrecision precision :
+       {MatMulPrecision::kFp32, MatMulPrecision::kBf16}) {
+    model->set_eval_precision(precision);
+    for (int32_t negatives : {0, 15}) {
+      EvalOptions options;
+      options.cutoffs = {5, 10};
+      options.num_sampled_negatives = negatives;
+      const EvalResult expected = ReferenceEvaluate(*model, users, options);
+      EXPECT_GT(expected.recall.at(10), 0.0);
+      for (int threads : {1, 2, 4}) {
+        ThreadPool::SetGlobalNumThreads(threads);
+        const EvalResult got = EvaluateRanking(*model, users, options);
+        const std::string where =
+            StrCat("threads=", threads, " negatives=", negatives, " bf16=",
+                   precision == MatMulPrecision::kBf16);
+        EXPECT_EQ(expected.precision, got.precision) << where;
+        EXPECT_EQ(expected.recall, got.recall) << where;
+        EXPECT_EQ(expected.ndcg, got.ndcg) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllHeadModels, ExactHeadOracleTest,
+    ::testing::Values("vsan_tied", "vsan_untied", "sasrec", "gru4rec",
+                      "caser", "svae", "embedding_mips"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace eval

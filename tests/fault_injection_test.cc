@@ -111,8 +111,11 @@ class FaultTest : public ::testing::Test {
 
 // --- Kill-and-resume determinism --------------------------------------
 
+// The model name is a std::string, not a const char*: gtest prints a
+// char pointer with its address, which would put an ASLR-dependent
+// value into every discovered ctest name.
 class KillResumeTest
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {
  protected:
   void SetUp() override {
     pool_was_ = pool::PoolEnabled();
@@ -125,7 +128,7 @@ class KillResumeTest
   bool pool_was_ = true;
 };
 
-TEST_P(KillResumeTest, ResumedRunMatchesUninterruptedBitwise) {
+TEST_P(KillResumeTest, ResumeMatchesCleanRun) {
   const std::string which = std::get<0>(GetParam());
   const bool pool_on = std::get<1>(GetParam());
   pool::SetPoolEnabledForTesting(pool_on);
@@ -160,10 +163,11 @@ TEST_P(KillResumeTest, ResumedRunMatchesUninterruptedBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndPool, KillResumeTest,
-    ::testing::Combine(::testing::Values("vsan", "sasrec"),
+    ::testing::Combine(::testing::Values(std::string("vsan"),
+                                         std::string("sasrec")),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<KillResumeTest::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) +
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) ? "_PoolOn" : "_PoolOff");
     });
 

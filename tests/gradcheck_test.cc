@@ -104,13 +104,16 @@ TEST(GradCheck, Slice) {
       {Rand({2, 4, 3}, 17)});
 }
 
-TEST(GradCheck, Transpose2D) {
+// a * b^T with b in its stored [n, k] layout (the tied output heads):
+// checks both dA = G * B and dB = G^T * A.  Squaring the product makes
+// both gradients depend on the other operand.
+TEST(GradCheck, MatMulTransB) {
   ExpectGradientsClose(
       [](const std::vector<Variable>& v) {
-        Variable t = ops::Transpose(v[0]);
-        return ops::Mean(ops::Mul(t, t));
+        Variable c = ops::MatMulTransB(v[0], v[1]);
+        return ops::Mean(ops::Mul(c, c));
       },
-      {Rand({3, 4}, 18)});
+      {Rand({3, 4}, 18), Rand({5, 4}, 118)});
 }
 
 TEST(GradCheck, TransposeLast2) {

@@ -140,10 +140,12 @@ struct RecordingEncoder {
   bool gate_open = true;
   std::vector<size_t> batch_sizes;
   std::atomic<int> encodes_started{0};
+  std::atomic<int> rows_started{0};  // requests inside started batches
 
   RequestBatcher::EncodeFn fn() {
     return [this](const std::vector<std::vector<int32_t>>& fold_ins,
                   std::vector<float>* queries) {
+      rows_started.fetch_add(static_cast<int>(fold_ins.size()));
       encodes_started.fetch_add(1);
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [this] { return gate_open; });
@@ -280,7 +282,13 @@ TEST(RequestBatcherTest, StopDrainsQueueAndAnswersEveryCaller) {
           {i + 1}, &queries[static_cast<size_t>(i)]);
     });
   }
-  encoder.WaitForEncodeStart(1);  // flush thread is mid-batch, rest queued
+  // Every caller must have been admitted before Stop() — inside the batch
+  // the flush thread holds at the shut gate, or still queued — or a slow
+  // caller would submit after Stop() and rightly get kShutdown.
+  encoder.WaitForEncodeStart(1);
+  while (encoder.rows_started.load() + batcher.queue_depth() < kCallers) {
+    std::this_thread::yield();
+  }
 
   // Stop with the gate still shut: the drain must wait for the in-flight
   // flush and then work through the backlog, answering everyone.

@@ -14,7 +14,8 @@ Two modes, both invoked by tools/run_bench.sh:
       blocks=default, from the second blocks=tuned.
 
 One record per benchmark with op, shape, threads, ns/iter, GFLOP/s for the
-GEMM family (items_processed counts multiply-adds, FLOPs = 2 * items), and
+GEMM family (items_processed counts multiply-adds, FLOPs = 2 * items, per
+second of wall time like ns/iter), and
 `precision` (fp32 | bf16) on GEMM records so the bf16 storage path's rows
 pair up with their fp32 twins at equal shapes.
 """
@@ -44,6 +45,18 @@ MODEL_SHAPE_NAMES = {
     (1024, 4096, 64): "logits",
     (200, 200, 64): "attn_scores",
 }
+
+
+def wall_items_per_second(b):
+    """Items per second of wall time, or None without an items counter.
+
+    google-benchmark divides items_processed by the main thread's CPU time,
+    which undercounts a thread-pool run (workers' time is not metered) and
+    so inflates its rate; rescaling by cpu_time / real_time restores the
+    wall-clock rate."""
+    if "items_per_second" not in b:
+        return None
+    return b["items_per_second"] * b["cpu_time"] / b["real_time"]
 
 
 def parse_record(b):
@@ -81,8 +94,9 @@ def parse_record(b):
         if precision is None:
             precision = "bf16" if op == "BM_GemmBf16" else "fp32"
         rec["precision"] = precision
-        if "items_per_second" in b:
-            rec["gflops"] = round(2.0 * b["items_per_second"] / 1e9, 2)
+        rate = wall_items_per_second(b)
+        if rate is not None:
+            rec["gflops"] = round(2.0 * rate / 1e9, 2)
     if op == "BM_GemmBf16" and b.get("label"):
         rec["kernel"] = b["label"]
     if op == "BM_AllocChurn":
